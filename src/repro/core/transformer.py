@@ -22,7 +22,7 @@ from repro.core.embedding import TimeSeriesEmbedding
 from repro.core.feedforward import FeedForward, OutputLayer
 from repro.nn import functional as F
 from repro.nn import init
-from repro.nn.inference import InferenceEngine
+from repro.nn.inference import InferenceEngine, ScratchArena
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
@@ -62,7 +62,7 @@ class CausalityAwareTransformer(Module):
             n, config.d_model, config.d_qk, config.n_heads, config.temperature, rng=rng)
         self.feed_forward = FeedForward(t, config.d_ffn, rng=rng)
         self.output_layer = OutputLayer(t, rng=rng)
-        self._inference: Optional[InferenceEngine] = None
+        self._arena: Optional[ScratchArena] = None
 
     # ------------------------------------------------------------------ #
     # Forward
@@ -151,10 +151,16 @@ class CausalityAwareTransformer(Module):
         return prediction, cache
 
     def inference_engine(self) -> InferenceEngine:
-        """The model's fused no-autograd inference engine (lazily built)."""
-        if self._inference is None:
-            self._inference = InferenceEngine(self)
-        return self._inference
+        """A fused no-autograd inference engine over the model's scratch arena.
+
+        The model keeps only the (lazily built) arena and hands out a fresh
+        engine per call: an engine points back at its model, so caching it
+        here would form a model → engine → model cycle that holds every
+        trained model and its buffers until the cycle collector runs.
+        """
+        if self._arena is None:
+            self._arena = ScratchArena()
+        return InferenceEngine(self, arena=self._arena)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Numpy-in / numpy-out prediction without building the autograd graph.

@@ -32,6 +32,7 @@ no longer needs the autograd graph at all.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -92,7 +93,7 @@ class ScratchArena:
     the zeros persist across reuses.
     """
 
-    __slots__ = ("_buffers", "_spaces")
+    __slots__ = ("_buffers", "_spaces", "__weakref__")
 
     def __init__(self) -> None:
         self._buffers: Dict[tuple, np.ndarray] = {}
@@ -258,8 +259,14 @@ def _loss_penalty_terms(model, arena: ScratchArena,
     return terms
 
 
-def _timed_op(op: str, bound: Callable, hook: Callable) -> Callable:
-    """Wrap a bound op method so each call reports its wall time to ``hook``.
+def _timed_op(op: str, method: Callable, owner: "weakref.ref",
+              hook: Callable) -> Callable:
+    """Wrap an op method so each call reports its wall time to ``hook``.
+
+    The wrapper lives in its engine's ``__dict__`` and reaches the engine
+    through the ``owner`` weakref: closing over a bound method instead
+    would form an engine → wrapper → engine cycle that keeps a profiled
+    engine, its model and its arena alive until the cycle collector runs.
 
     The clock runs on the *dispatching* thread: ops that fan work out
     through :func:`repro.nn.parallel.parallel_for` block the caller until
@@ -269,7 +276,7 @@ def _timed_op(op: str, bound: Callable, hook: Callable) -> Callable:
     """
     def wrapper(*args, **kwargs):
         start = time.perf_counter()
-        result = bound(*args, **kwargs)
+        result = method(owner(), *args, **kwargs)
         hook(op, time.perf_counter() - start)
         return result
     return wrapper
@@ -320,9 +327,11 @@ class ProfilingSeam:
 
     def enable_profiling(self, hook: Callable[[str, float], None]) -> None:
         self.disable_profiling()
+        owner = weakref.ref(self)
         for name in self._PROFILED_OPS:
-            bound = getattr(type(self), name).__get__(self)
-            setattr(self, name, _timed_op(name.lstrip("_"), bound, hook))
+            setattr(self, name, _timed_op(name.lstrip("_"),
+                                          getattr(type(self), name), owner,
+                                          hook))
 
     def disable_profiling(self) -> None:
         for name in self._PROFILED_OPS:

@@ -32,8 +32,7 @@ from repro.telemetry.events import (JsonlSink, RingBufferSink, Sink,
                                     StderrSink, format_record)
 from repro.telemetry.metrics import (Counter, Gauge, Histogram,
                                      MetricsRegistry)
-from repro.telemetry.report import (load_trace, render_report, render_trace,
-                                    summarize_spans)
+from repro.telemetry.report import load_trace, render_report, render_trace
 from repro.telemetry.runtime import (NULL_TELEMETRY, NullTelemetry,
                                      Telemetry, capture, configure,
                                      get_telemetry, install, install_null,
@@ -58,5 +57,5 @@ __all__ = [
     "StderrSink", "Telemetry", "Tracer", "build_span_tree", "capture",
     "configure", "event", "format_record", "get_telemetry", "install",
     "install_null", "load_trace", "render_report", "render_trace", "reset",
-    "summarize_spans", "telemetry_from_spec", "trace", "verbose_telemetry",
+    "telemetry_from_spec", "trace", "verbose_telemetry",
 ]

@@ -11,9 +11,9 @@
 * the top counters, gauges and histogram summaries from the final metrics
   snapshot.
 
-The same helpers serve the in-process path: ``summarize_spans`` is what
-``python -m repro bench`` attaches to its reports so BENCH speedups can be
-decomposed by phase.
+``render_report`` takes the records themselves, so an in-process caller
+can render what a :class:`~repro.telemetry.events.RingBufferSink` captured
+without writing a file first.
 """
 
 from __future__ import annotations
@@ -99,25 +99,6 @@ def render_span_tree(roots: List[Dict[str, Any]], indent: str = "  ",
 
     walk(roots, 0)
     return lines
-
-
-def summarize_spans(records: List[Dict[str, Any]]
-                    ) -> Dict[str, Dict[str, Any]]:
-    """Flat per-name aggregation: ``{name: {count, total_seconds}}``.
-
-    Used by the bench report to decompose a payload's wall time by phase.
-    """
-    summary: Dict[str, Dict[str, Any]] = {}
-    for record in records:
-        if record.get("kind") != "span":
-            continue
-        entry = summary.setdefault(str(record.get("name")),
-                                   {"count": 0, "total_seconds": 0.0})
-        entry["count"] += 1
-        entry["total_seconds"] += record.get("duration") or 0.0
-    for entry in summary.values():
-        entry["total_seconds"] = round(entry["total_seconds"], 6)
-    return summary
 
 
 def _job_of_span(span_id: Optional[str],

@@ -1,5 +1,8 @@
 """End-to-end CausalFormer facade (integration tests on small datasets)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -102,6 +105,28 @@ class TestRefitHygiene:
         assert not model.is_fitted
         assert model.summary()["fitted"] is False
         assert model.graph_ is None and model._fitted_values is None
+
+
+class TestMemory:
+    def test_dropped_model_frees_its_engine_arena_without_gc(self, fork_data):
+        """A trained model and its scratch buffers die by reference counting.
+
+        With the cycle collector off, anything still reachable only through
+        a reference cycle (e.g. model → cached engine → model) would outlive
+        the last user reference, so a process running many jobs would hold
+        every finished model until a collection happens to run.
+        """
+        gc.collect()
+        gc.disable()
+        try:
+            model = CausalFormer(fast_preset(max_epochs=2))
+            model.discover(fork_data)
+            arena = weakref.ref(model.model_.inference_engine().arena)
+            assert arena() is not None
+            del model
+            assert arena() is None
+        finally:
+            gc.enable()
 
 
 class TestAblationsRun:

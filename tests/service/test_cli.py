@@ -1,13 +1,17 @@
 """CLI smoke tests: ``python -m repro`` subcommands end to end."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from repro.service.cli import main
+from repro import __version__
+from repro.service import cli
+from repro.service.cli import build_parser, main
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__)))), "src")
@@ -101,3 +105,38 @@ class TestInProcessEntryPoints:
         with pytest.raises(SystemExit):
             main(["discover", "--dataset", "fork", "--method", "var_granger",
                   "--config", "oops", "--cache-dir", str(tmp_path / "cache")])
+
+
+def _subcommands():
+    (action,) = [action for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+    return sorted(action.choices)
+
+
+class TestParser:
+    """The argument parser's shape: documented subcommands, help, version."""
+
+    def test_subcommands_match_the_module_docstring(self):
+        section = cli.__doc__.split("Subcommands\n-----------\n")[1]
+        documented = re.findall(r"^``(\w+)``$", section, flags=re.MULTILINE)
+        assert sorted(documented) == _subcommands()
+
+    @pytest.mark.parametrize("command", ["discover", "sweep", "cache", "list",
+                                         "report", "lint"])
+    def test_subcommand_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert f"usage: python -m repro {command}" in capsys.readouterr().out
+
+    def test_unknown_subcommand_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--version"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.strip() == f"repro {__version__}"

@@ -1,11 +1,11 @@
-"""Telemetry wired through the service layer: executor, trainers, bench, CLI.
+"""Telemetry wired through the service layer: executor, trainers, CLI.
 
 Covers the observability contracts the telemetry subsystem makes to the
 rest of the repo: the pool-fallback path produces identical results and an
 audit trail, cache hits price the lookup separately from the original
 compute, worker-collected telemetry ships back across the process boundary,
 training emits per-epoch events without perturbing the numerics, and the
-bench/CLI surfaces expose it all.
+CLI surfaces expose it all.
 """
 
 import os
@@ -236,38 +236,6 @@ class TestEngineProfiling:
         with capture(engine_profiling=True):
             profiled = execute_job(job, dataset)
         assert _summaries([profiled]) == _summaries([baseline])
-
-
-class TestBenchTelemetry:
-    def test_overhead_payload_exists_and_is_gated(self):
-        from repro.service import bench
-
-        assert "telemetry_overhead" in bench.PAYLOADS
-        assert "telemetry_overhead" in bench.REGRESSION_KEYS
-
-    def test_record_payload_spans_summarizes_the_run(self):
-        from repro.service import bench
-
-        summary = bench.record_payload_spans("tensor_ops")
-        assert summary["spans"]["bench.tensor_ops"]["count"] == 1
-        assert summary["spans"]["bench.tensor_ops"]["total_seconds"] > 0.0
-
-    def test_run_suite_reports_the_overhead_ratio(self):
-        from repro.service import bench
-
-        report = bench.run_suite(
-            smoke=True, names=["train_epoch", "telemetry_overhead"],
-            record_spans=False)
-        assert report["telemetry_overhead_ratio"] > 0.0
-        assert "observability" not in report
-
-    def test_run_suite_attaches_observability_sections(self):
-        from repro.service import bench
-
-        report = bench.run_suite(smoke=True, names=["tensor_ops"],
-                                 record_spans=True)
-        assert "bench.tensor_ops" in \
-            report["observability"]["tensor_ops"]["spans"]
 
 
 class TestCli:

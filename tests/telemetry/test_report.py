@@ -5,7 +5,7 @@ import json
 from repro.telemetry.report import (cache_summary, event_summary, load_trace,
                                     metrics_summary, render_report,
                                     render_span_tree, render_trace,
-                                    summarize_spans, training_summary)
+                                    training_summary)
 from repro.telemetry.runtime import Telemetry
 
 
@@ -59,13 +59,6 @@ class TestRenderSpanTree:
 
 
 class TestSummaries:
-    def test_summarize_spans_aggregates_by_name(self):
-        records = [span("a", "1", duration=0.1), span("a", "2", duration=0.2),
-                   span("b", "3", duration=0.3), event("x")]
-        summary = summarize_spans(records)
-        assert summary["a"] == {"count": 2, "total_seconds": 0.3}
-        assert summary["b"]["count"] == 1
-
     def test_training_summary_groups_by_job_and_model(self):
         records = [
             span("job", "j", attrs={"job_id": "abc123"}),
@@ -126,6 +119,17 @@ class TestEndToEnd:
         assert "== cache ==" in text
         assert "hits 1, misses 1 (50% hit rate)" in text
         assert "== metrics ==" in text
+
+    def test_render_report_from_the_in_process_buffer(self):
+        telemetry = Telemetry()
+        with telemetry.trace("job", job_id="cafe"):
+            telemetry.event("train_epoch", epoch=0, loss=0.5, model=0)
+            telemetry.event("train_epoch", epoch=1, loss=0.25, model=0)
+
+        text = render_report(telemetry.records())
+        assert text.startswith("telemetry report\n3 records (1 spans, 2 events)")
+        assert "job job_id=cafe" in text
+        assert "cafe model=0: 2 epochs" in text
 
     def test_render_report_on_empty_records(self):
         text = render_report([])
