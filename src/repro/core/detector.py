@@ -28,12 +28,10 @@ import numpy as np
 
 from repro.core.clustering import select_top_scores
 from repro.core.config import CausalFormerConfig
-from repro.core.relevance import (RegressionRelevancePropagation,
-                                  StackedRelevancePropagation)
-from repro.core.transformer import CausalityAwareTransformer
+from repro.core.relevance import StackedRelevancePropagation
+from repro.core.transformer import CausalityAwareTransformer, TransformerCache
 from repro.graph.causal_graph import TemporalCausalGraph
-from repro.nn.inference import (InferenceEngine, InterpretationForward,
-                                StackedInferenceEngine)
+from repro.nn.inference import StackedInferenceEngine
 
 
 @dataclass
@@ -75,11 +73,6 @@ class DecompositionCausalityDetector:
         self.use_bias = use_bias
         if not use_relevance and not use_gradient:
             raise ValueError("at least one of relevance or gradients must be used")
-        self._rrp = RegressionRelevancePropagation(
-            self.model, use_bias=use_bias, epsilon=self.config.relevance_epsilon)
-        # Fused no-autograd engine over the interpretation model; its scratch
-        # arena is reused across every scoring call.
-        self._engine = InferenceEngine(self.model)
 
     #: soft bound on the largest per-chunk intermediate (elements) when the
     #: per-target gradient/relevance pass is vectorised over target series.
@@ -127,59 +120,14 @@ class DecompositionCausalityDetector:
     def compute_scores(self, windows: np.ndarray) -> CausalScores:
         """Causal scores of every potential relation from a batch of windows.
 
-        The interpretation runs entirely on the fused no-autograd engine:
-        one shared cache forward for every target series, a hand-derived
-        multi-target backward for the Fig. 6b gradients, and a vectorised
-        relevance propagation — bit-identical to the historical
-        one-autograd-pass-per-target implementation, several times faster.
+        Runs :func:`compute_scores_group` with this detector as a group of
+        one: the stacked engine at ``M = 1`` is the only interpretation
+        path.
         """
-        windows = np.asarray(windows, dtype=float)
-        if windows.ndim == 2:
-            windows = windows[None, :, :]
-        n_series = windows.shape[1]
-        window = windows.shape[2]
-        if n_series != self.config.n_series or window != self.config.window:
-            raise ValueError(
-                f"windows of shape {windows.shape[1:]} do not match the model "
-                f"({self.config.n_series} series, window {self.config.window})"
-            )
-        self._sync_interpretation_model()
-        forward = self._engine.interpretation_forward(windows)
-        if not self.use_interpretation:
-            return self._raw_weight_scores(forward)
+        return compute_scores_group([self], [windows])[0]
 
-        cache = forward.cache
-        prepared = self._rrp.prepare(cache) if self.use_relevance else None
-        attention_scores = np.zeros((n_series, n_series))
-        kernel_scores = np.zeros((n_series, n_series, window))
-        batch = windows.shape[0]
-        per_target = max(batch * n_series * n_series * window, 1)
-        chunk_size = max(1, self.TARGET_CHUNK_ELEMENTS // per_target)
-        for start in range(0, n_series, chunk_size):
-            targets = list(range(start, min(start + chunk_size, n_series)))
-            if self.use_gradient:
-                attention_grads, kernel_grads = \
-                    self._engine.interpretation_gradients(forward, targets)
-            else:
-                attention_grads = kernel_grads = None
-            if self.use_relevance:
-                relevances = self._rrp.propagate_targets(
-                    cache, targets, prepared=prepared, include_values=False)
-            else:
-                relevances = None
-            for index, target in enumerate(targets):
-                row, kernel_slab = self._combine_target(
-                    cache, target,
-                    None if attention_grads is None else attention_grads[index],
-                    None if kernel_grads is None else kernel_grads[index],
-                    None if relevances is None else relevances[index])
-                attention_scores[target] = row
-                kernel_scores[target] = kernel_slab
-        return CausalScores(attention=attention_scores, kernel=kernel_scores)
-
-    def _raw_weight_scores(self, forward: InterpretationForward) -> CausalScores:
+    def _raw_weight_scores(self, cache: TransformerCache) -> CausalScores:
         """The "w/o interpretation" ablation: read model weights directly."""
-        cache = forward.cache
         # Mean attention over heads and batch; attention[b, i, j] already has
         # target as the row index, matching CausalScores' convention.
         attention = np.mean(
@@ -273,15 +221,15 @@ def compute_scores_group(detectors: Sequence[DecompositionCausalityDetector],
                          arena=None) -> List[CausalScores]:
     """Causal scores for a whole group of same-architecture detectors at once.
 
-    The stacked analogue of :meth:`DecompositionCausalityDetector
-    .compute_scores` for a batched sweep group: one stacked cache forward
-    shared by every model *and* target, one stacked multi-target backward,
-    and one model-axis relevance propagation — instead of one full
-    interpretation per job.  Every returned :class:`CausalScores` is
-    **bit-identical** to calling ``detectors[m].compute_scores
-    (windows_list[m])`` alone, across all Table 3 ablations (the detectors
-    must share their ablation flags and configuration; the window sets must
-    share one shape).
+    The detector's one interpretation path (a solo
+    :meth:`DecompositionCausalityDetector.compute_scores` is this function
+    at ``M = 1``): one stacked cache forward shared by every model *and*
+    target, one stacked hand-derived multi-target backward for the Fig. 6b
+    gradients, and one model-axis relevance propagation — no autograd
+    graph.  Every returned :class:`CausalScores` is **bit-identical** to
+    scoring ``detectors[m]`` in a group of its own, across all Table 3
+    ablations (the detectors must share their ablation flags and
+    configuration; the window sets must share one shape).
 
     ``arena`` optionally hands the stacked engine an existing
     :class:`~repro.nn.inference.ScratchArena` — the batched sweep passes its
@@ -336,9 +284,8 @@ def compute_scores_group(detectors: Sequence[DecompositionCausalityDetector],
     engine = StackedInferenceEngine(models, arena=arena)
     forward = engine.interpretation_forward(prepared_windows)
     if not first.use_interpretation:
-        return [detector._raw_weight_scores(model_forward)
-                for detector, model_forward in zip(detectors,
-                                                   forward.forwards)]
+        return [detector._raw_weight_scores(cache)
+                for detector, cache in zip(detectors, forward.caches)]
 
     m = len(detectors)
     batch, n_series, window = prepared_windows[0].shape
@@ -369,7 +316,7 @@ def compute_scores_group(detectors: Sequence[DecompositionCausalityDetector],
         for row, detector in enumerate(detectors):
             for index, target in enumerate(targets):
                 score_row, kernel_slab = detector._combine_target(
-                    forward.forwards[row].cache, target,
+                    forward.caches[row], target,
                     None if attention_grads is None
                     else attention_grads[row, index],
                     None if kernel_grads is None

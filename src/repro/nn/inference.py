@@ -20,13 +20,16 @@ within BLAS noise in float32.  With ``set_engine_threads(n)`` (see
 axes — the ``(b, i)`` convolution/attention batches — across a shared
 worker pool; each chunk performs exactly the per-slice work of the serial
 op on disjoint output slices, so threaded results stay bit-identical in
-both dtypes.  The detector-facing
-:meth:`InferenceEngine.interpretation_forward` instead replays the autograd
+both dtypes.
+
+The causality detector interprets through :class:`StackedInferenceEngine`
+only (a single detector is a stack of one):
+:meth:`StackedInferenceEngine.interpretation_forward` replays the autograd
 *cache* path (per-head outputs, 3-D linears, einsum head combination),
 whose operation sequence differs slightly from the fast path, and
-:meth:`InferenceEngine.interpretation_gradients` hand-evaluates the exact
-backward of that graph for a batch of target series at once — the detector
-no longer needs the autograd graph at all.
+:meth:`StackedInferenceEngine.interpretation_gradients` hand-evaluates the
+exact backward of that graph for a batch of target series at once — the
+detector needs no autograd graph at all.
 """
 
 from __future__ import annotations
@@ -34,12 +37,16 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from repro.contracts import hot_path
 from .parallel import get_engine_threads, parallel_for, slice_axis
+
+if TYPE_CHECKING:
+    from repro.core.transformer import TransformerCache
 
 
 class ScratchSpace:
@@ -132,27 +139,6 @@ class ScratchArena:
     def clear(self) -> None:
         self._buffers.clear()
         self._spaces.clear()
-
-
-@dataclass
-class InterpretationForward:
-    """Everything the causality detector needs from one fused cache forward.
-
-    ``cache`` is a :class:`~repro.core.transformer.TransformerCache`-shaped
-    object consumed by regression relevance propagation; the remaining
-    fields are the forward internals the hand-derived multi-target backward
-    (:meth:`InferenceEngine.interpretation_gradients`) reads.  All arrays
-    are views into the engine's arena — valid until the next engine call.
-    """
-
-    cache: object
-    attention_probs: np.ndarray        # (h, B, N, N)
-    slope: np.ndarray                  # (B, N, d_ffn) leaky-ReLU slopes
-    a_bihj: np.ndarray                 # (B, i, h, j) attention, GEMM layout
-    v_bijt: np.ndarray                 # (B, i, j, t) values, GEMM layout
-    windows_flat: np.ndarray           # (N, B·T, K) causal windows, GEMM layout
-    batch: int = 0
-    extras: dict = field(default_factory=dict)
 
 
 @hot_path
@@ -464,19 +450,12 @@ class InferenceEngine(ProfilingSeam):
         return padded, flat
 
     @hot_path
-    def _convolution(self, space: ScratchSpace, x: np.ndarray, stage: dict,
-                     legacy_layout: bool = False
+    def _convolution(self, space: ScratchSpace, x: np.ndarray, stage: dict
                      ) -> Tuple[np.ndarray, np.ndarray]:
         """Fused causal convolution with the Eq. 4 right-shift (fast path).
 
         Returns ``(values, windows_flat)`` — the convolution output and the
-        ``(N, B·T, K)`` window layout (reused by the detector backward).
-
-        ``legacy_layout`` allocates the output in the autograd conv's memory
-        order (source-major — its ``transposed_view * scale`` inherits the
-        view's layout), which einsum summation order — hence detector
-        bit-identity — depends on.  The evaluation path only ever reads the
-        values through contiguous re-layouts, so it uses a C-ordered buffer.
+        ``(N, B·T, K)`` window layout (reused by the training backward).
         """
         batch, n, window = x.shape
         kernel = stage["kernel_eff"]
@@ -490,14 +469,7 @@ class InferenceEngine(ProfilingSeam):
             np.matmul(flat[lo:hi], kernel_t[lo:hi], out=raw[lo:hi])
 
         parallel_for(matmul_body, n, outputs=((raw, 0),))
-        if legacy_layout:
-            buffer = space.take("conv.values", (n, batch, window, k_out),
-                                cdtype)
-            values = space.view("conv.values.t",
-                                lambda: buffer.transpose(1, 0, 3, 2))
-        else:
-            values = space.take("conv.values", (batch, n, k_out, window),
-                                cdtype)
+        values = space.take("conv.values", (batch, n, k_out, window), cdtype)
         raw_t = space.view("conv.raw.t",
                            lambda: raw.reshape(n, batch, window, k_out)
                            .transpose(1, 0, 3, 2))
@@ -516,15 +488,11 @@ class InferenceEngine(ProfilingSeam):
         return values, flat
 
     @hot_path
-    def _attention_probs(self, space: ScratchSpace, x: np.ndarray, stage: dict,
-                         keep_scores: bool = False
-                         ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    def _attention_probs(self, space: ScratchSpace, x: np.ndarray, stage: dict
+                         ) -> np.ndarray:
         """Embedding → all-head Q/K projection → masked tempered softmax.
 
-        Returns ``(probabilities, embedding_2d, scores)`` where ``scores``
-        (the pre-softmax masked scores) is only materialised when
-        ``keep_scores`` — the detector cache wants them, the fast path does
-        not.
+        Returns the ``(h, B, N, N)`` attention probabilities.
         """
         batch, n, window = x.shape
         n_heads, d_qk = stage["n_heads"], stage["d_qk"]
@@ -558,13 +526,8 @@ class InferenceEngine(ProfilingSeam):
             np.multiply(raw[:, lo:hi], modulation, out=probs[:, lo:hi])
 
         parallel_for(body, batch, outputs=((qk, 1), (raw, 1), (probs, 1)))
-        scores = None
-        if keep_scores:
-            scores = space.take("att.scores", (n_heads, batch, n, n),
-                                np.float64)
-            np.copyto(scores, probs)
         self._softmax_inplace(space, probs)
-        return probs, emb, scores
+        return probs
 
     @hot_path
     def _softmax_inplace(self, space: ScratchSpace, probs: np.ndarray) -> None:
@@ -635,7 +598,7 @@ class InferenceEngine(ProfilingSeam):
         batch, n, window = x.shape
         space = self.arena.space(("eval", x.shape, x.dtype.str))
         values, _flat = self._convolution(space, x, stage)
-        probs, _emb, _scores = self._attention_probs(space, x, stage)
+        probs = self._attention_probs(space, x, stage)
         _a, _v, head_outputs = self._combine_layout(space, probs, values)
         # Head combination replays np.tensordot(head_outputs, w_output,
         # axes=([2], [0])): transpose-copy to (B·N·T, h), then one GEMV-dot.
@@ -783,198 +746,21 @@ class InferenceEngine(ProfilingSeam):
         prediction = self._forward(batch, stage)
         return prediction[0].copy() if squeeze else prediction.copy()
 
-    # ------------------------------------------------------------------ #
-    # Detector support: cache-path forward + hand-derived backward
-    # ------------------------------------------------------------------ #
-    def interpretation_forward(self, windows: np.ndarray) -> InterpretationForward:
-        """One fused forward replaying the autograd *cache* path exactly.
-
-        Fills a :class:`~repro.core.transformer.TransformerCache` for
-        relevance propagation plus the internals the multi-target backward
-        needs.  Shared by every target series — the detector used to rerun
-        this once per target.
-        """
-        from repro.core.attention import AttentionHeadCache
-        from repro.core.transformer import TransformerCache
-
-        arena = self.arena
-        stage = self._stage()
-        x = self._as_model_batch(windows)
-        batch, n, window = x.shape
-        n_heads = stage["n_heads"]
-        space = arena.space(("cache", x.shape, x.dtype.str))
-
-        values, windows_flat = self._convolution(space, x, stage,
-                                                 legacy_layout=True)
-        cdtype = np.result_type(x.dtype, stage["embed_weight"].dtype)
-        # Cache path embedding: 3-D linear (B, N, T) @ (T, d) + bias.
-        emb3d = arena.take("cache.emb", (batch, n, stage["embed_weight"].shape[-1]),
-                           cdtype)
-        np.matmul(x, stage["embed_weight"], out=emb3d)
-        emb3d += stage["embed_bias"]
-        # Q/K projection + masked scores + softmax, keeping the pre-softmax
-        # scores for the cache.  The projection input is the embedding here
-        # (cache path), not the raw windows.
-        proj = arena.take("att.proj", (batch * n, 2 * n_heads * stage["d_qk"]),
-                          cdtype)
-        np.matmul(emb3d.reshape(batch * n, -1), stage["weight_flat"], out=proj)
-        proj += stage["bias_flat"]
-        qk = arena.take("att.qk", (2 * n_heads, batch, n, stage["d_qk"]), cdtype)
-        np.copyto(qk, proj.reshape(batch, n, 2 * n_heads, stage["d_qk"])
-                  .transpose(2, 0, 1, 3))
-        q_data, k_data = qk[:n_heads], qk[n_heads:]
-        raw = arena.take("att.raw", (n_heads, batch, n, n), cdtype)
-        np.matmul(q_data, k_data.transpose(0, 1, 3, 2), out=raw)
-        # float64 from the modulation on (see ``_stage``), as in autograd.
-        probs = arena.take("att.probs", (n_heads, batch, n, n), np.float64)
-        np.multiply(raw, stage["modulation"], out=probs)
-        scores = arena.take("att.scores", (n_heads, batch, n, n), np.float64)
-        np.copyto(scores, probs)
-        self._softmax_inplace(space, probs)
-
-        a_bihj, v_bijt, head_outputs = self._combine_layout(space, probs,
-                                                            values)
-        dtype = head_outputs.dtype
-        ho_hbit = arena.take("cache.ho", (n_heads, batch, n, window), dtype)
-        np.copyto(ho_hbit, head_outputs.transpose(2, 0, 1, 3))
-        combined = arena.take("cache.combined", (batch, n, window), dtype)
-        np.einsum("hbit,h->bit", ho_hbit,
-                  stage["w_output"].astype(dtype, copy=False), out=combined)
-
-        # Cache-path MLP: 3-D linears with explicit intermediates.
-        d_ffn = stage["w1"].shape[-1]
-        hidden = arena.take("cache.hidden", (batch, n, d_ffn), dtype)
-        np.matmul(combined, stage["w1"], out=hidden)
-        hidden += stage["b1"]
-        slope = _leaky_slope(space, "cache.slope", hidden,
-                             stage["negative_slope"])
-        activated = arena.take("cache.activated", (batch, n, d_ffn), dtype)
-        np.multiply(hidden, slope, out=activated)
-        ffn_output = arena.take("cache.ffn", (batch, n, window), dtype)
-        np.matmul(activated, stage["w2"], out=ffn_output)
-        ffn_output += stage["b2"]
-        prediction = arena.take("cache.out", (batch, n, window), dtype)
-        np.matmul(ffn_output, stage["w3"], out=prediction)
-        prediction += stage["b3"]
-
-        # Pre-shift convolution values for relevance propagation (the cache
-        # path recomputes them in float64 via einsum, independent of dtype).
-        # repro: allow(dtype-purity): relevance propagation is f64 by spec
-        x64 = np.asarray(x, dtype=float)
-        padded64 = arena.take("cache.pad64", (batch, n, 2 * window), np.float64)
-        padded64[..., window:] = x64
-        view64 = np.lib.stride_tricks.sliding_window_view(
-            padded64, window, axis=-1)[..., 1:, :]                  # (B,N,T,K)
-        values_pre = arena.take("cache.values_pre", (batch, n, n, window),
-                                np.result_type(np.float64, x.dtype))
-        np.einsum("bitk,ijk->bijt", view64, stage["kernel_eff"], out=values_pre)
-        values_pre *= stage["scale_array"]
-
-        head_caches = [
-            AttentionHeadCache(
-                attention=None, head_output=None,
-                attention_data=probs[index],
-                head_output_data=ho_hbit[index],
-                scores_data=scores[index],
-            )
-            for index in range(n_heads)
-        ]
-        cache = TransformerCache(
-            inputs=x,
-            embedding=emb3d,
-            values_pre_shift=values_pre,
-            values=values,
-            conv_windows=view64,
-            head_caches=head_caches,
-            attention_combined=combined,
-            ffn_hidden=hidden,
-            ffn_activated=activated,
-            ffn_output=ffn_output,
-            output=prediction,
-            values_tensor=None,
-        )
-        return InterpretationForward(
-            cache=cache, attention_probs=probs, slope=slope,
-            a_bihj=a_bihj, v_bijt=v_bijt, windows_flat=windows_flat,
-            batch=batch, extras={"stage": stage},
-        )
-
-    def interpretation_gradients(self, forward: InterpretationForward,
-                                 targets: Sequence[int]
-                                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Gradients of ``Σ_t prediction[:, target, :]`` for several targets.
-
-        Hand-evaluates the exact backward pass of the cache-path graph — the
-        one the detector used to obtain via one autograd ``backward()`` per
-        target — batched over ``targets`` with the same per-slice GEMMs, so
-        the returned gradients are bit-identical to the autograd ones.
-
-        Returns ``(attention_grads, kernel_grads)`` of shapes
-        ``(G, h, B, N, N)`` and ``(G, N, N, K)`` (``(G, 1, 1, K)`` for the
-        single-kernel ablation).
-        """
-        stage = forward.extras["stage"]
-        cache = forward.cache
-        batch, n, window = cache.output.shape
-        n_targets = len(targets)
-        dtype = cache.output.dtype
-        diag = np.arange(n)
-
-        # Output one-hot seed → back through the three cache-path linears.
-        grad_pred = np.zeros((n_targets, batch, n, window), dtype=dtype)
-        for index, target in enumerate(targets):
-            grad_pred[index, :, target, :] = 1.0
-        grad_ffn = grad_pred @ stage["w3"].T
-        grad_hidden = grad_ffn @ stage["w2"].T
-        grad_hidden *= forward.slope
-        grad_combined = grad_hidden @ stage["w1"].T                # (G,B,N,T)
-
-        # Head-combination einsum backward: grad per head = grad ⊗ w_output.
-        grad_heads = np.einsum("gbit,h->ghbit", grad_combined, stage["w_output"])
-        grad_biht = np.ascontiguousarray(grad_heads.transpose(0, 2, 3, 1, 4))
-        # Attention application backward (Eq. 6).
-        grad_a = grad_biht @ forward.v_bijt.transpose(0, 1, 3, 2)  # (G,B,i,h,j)
-        attention_grads = grad_a.transpose(0, 3, 1, 2, 4)          # (G,h,B,i,j)
-        grad_v = forward.a_bihj.transpose(0, 1, 3, 2) @ grad_biht  # (G,B,i,j,t)
-        grad_values = grad_v.transpose(0, 1, 3, 2, 4)              # (G,B,j,i,t)
-
-        # Causal convolution backward: undo the Eq. 4 right-shift, rescale,
-        # contract against the causal windows.  The autograd engine casts the
-        # routed gradient to the values tensor's dtype at the node boundary,
-        # and the final accumulation casts to the kernel parameter's dtype —
-        # replicate both.
-        grad_values = np.ascontiguousarray(grad_values,
-                                           dtype=cache.values.dtype)
-        diagonal = grad_values[:, :, diag, diag, :]
-        grad_values[:, :, diag, diag, :-1] = diagonal[..., 1:]
-        grad_values[:, :, diag, diag, -1] = 0.0
-        grad_values = grad_values * stage["scale_array"]
-        flat = np.ascontiguousarray(grad_values.transpose(0, 2, 3, 1, 4)) \
-            .reshape(n_targets, n, n, batch * window)
-        kernel_grads = flat @ forward.windows_flat                 # (G,N,N,K)
-        kernel_dtype = self.model.convolution.kernel.data.dtype
-        if kernel_grads.dtype != kernel_dtype:
-            # The node-boundary cast happens before the single-kernel
-            # unbroadcast sum in the autograd graph; keep that order.
-            kernel_grads = np.asarray(kernel_grads, dtype=kernel_dtype)
-        if self.model.convolution.single_kernel:
-            kernel_grads = kernel_grads.sum(axis=(1, 2), keepdims=True)
-        return attention_grads, kernel_grads
-
 
 @dataclass
 class StackedInterpretationForward:
     """One fused cache forward for ``M`` same-architecture models at once.
 
-    ``forwards[m]`` is an ordinary :class:`InterpretationForward` whose cache
-    arrays are row-``m`` views of the stacked buffers below, so every
-    per-model consumer (gradient modulation, raw-weight ablation, graph
-    construction) runs unchanged on bit-identical data.  The stacked arrays
-    feed the model-axis gradient backward and relevance propagation.  All
-    arrays are arena views — valid until the next engine call.
+    ``caches[m]`` is an ordinary
+    :class:`~repro.core.transformer.TransformerCache` whose arrays are
+    row-``m`` views of the stacked buffers below, so every per-model
+    consumer (gradient modulation, raw-weight ablation) reads exactly what
+    the autograd cache path would record for model ``m``.  The stacked
+    arrays feed the model-axis gradient backward and relevance propagation.
+    All arrays are arena views — valid until the next engine call.
     """
 
-    forwards: List[InterpretationForward]
+    caches: List["TransformerCache"]
     inputs: np.ndarray                 # (M, B, N, T)
     output: np.ndarray                 # (M, B, N, T)
     values: np.ndarray                 # (M, B, N, N, T) legacy (source-major) layout
@@ -994,7 +780,7 @@ class StackedInterpretationForward:
 
     @property
     def n_models(self) -> int:
-        return len(self.forwards)
+        return len(self.caches)
 
 
 class StackedInferenceEngine(ProfilingSeam):
@@ -1647,7 +1433,7 @@ class StackedInferenceEngine(ProfilingSeam):
                   out=values_pre)
         values_pre *= stage["scale_array"]
 
-        forwards: List[InterpretationForward] = []
+        caches: List[TransformerCache] = []
         for row in range(m):
             head_caches = [
                 AttentionHeadCache(
@@ -1658,7 +1444,7 @@ class StackedInferenceEngine(ProfilingSeam):
                 )
                 for index in range(n_heads)
             ]
-            cache = TransformerCache(
+            caches.append(TransformerCache(
                 inputs=x[row],
                 embedding=emb3d[row],
                 values_pre_shift=values_pre[row],
@@ -1671,15 +1457,9 @@ class StackedInferenceEngine(ProfilingSeam):
                 ffn_output=ffn_output[row],
                 output=prediction[row],
                 values_tensor=None,
-            )
-            forwards.append(InterpretationForward(
-                cache=cache, attention_probs=probs[row], slope=slope[row],
-                a_bihj=a_bihj[row], v_bijt=v_bijt[row],
-                windows_flat=windows_flat[row], batch=batch,
-                extras={"stage": stage, "row": row},
             ))
         return StackedInterpretationForward(
-            forwards=forwards, inputs=x, output=prediction, values=values,
+            caches=caches, inputs=x, output=prediction, values=values,
             values_pre=values_pre, conv_windows=view64,
             attention_probs=probs, head_outputs=ho_hbit, combined=combined,
             hidden=hidden, activated=activated, ffn_output=ffn_output,
@@ -1694,8 +1474,10 @@ class StackedInferenceEngine(ProfilingSeam):
 
         Returns ``(attention_grads, kernel_grads)`` of shapes
         ``(M, G, h, B, N, N)`` and ``(M, G, N, N, K)`` (``(M, G, 1, 1, K)``
-        for the single-kernel ablation) — row ``m`` bit-identical to
-        ``InferenceEngine.interpretation_gradients`` on model ``m`` alone.
+        for the single-kernel ablation).  Hand-evaluates the exact backward
+        of the cache-path graph, batched over models and targets with the
+        same per-slice GEMMs, so row ``m`` is bit-identical to one autograd
+        ``backward()`` per target on model ``m``.
         """
         stage = forward.extras["stage"]
         m, batch, n, window = forward.output.shape

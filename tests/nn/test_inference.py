@@ -2,11 +2,12 @@
 
 The engine's contract is strict: in float64 it must reproduce the autograd
 paths bit for bit (same operation sequence), and in float32 it must agree
-within tolerance; the detector-facing cache forward and hand-derived
-multi-target gradients must be bit-identical in both dtypes (the detector
-always interprets through the float64 twin, and the gradient transcription
-replays the exact autograd ops).  Steady-state evaluation must reuse its
-scratch buffers instead of allocating.
+within tolerance; the detector-facing stacked cache forward and
+hand-derived multi-target gradients must be bit-identical to autograd in
+both dtypes, at one model and at several (the detector always interprets
+through the float64 twin, and the gradient transcription replays the exact
+autograd ops).  Steady-state evaluation must reuse its scratch buffers
+instead of allocating.
 """
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 from repro.core.config import CausalFormerConfig
 from repro.core.training import Trainer
 from repro.core.transformer import CausalityAwareTransformer
-from repro.nn.inference import InferenceEngine, ScratchArena
+from repro.nn.inference import (InferenceEngine, ScratchArena,
+                                StackedInferenceEngine)
 from repro.nn.tensor import Tensor, default_dtype, no_grad
 
 
@@ -26,6 +28,19 @@ def build(dtype, n_series=5, window=12, n_heads=3, seed=0, **overrides):
             n_heads=n_heads, batch_size=4, seed=seed, **overrides)
         model = CausalityAwareTransformer(config)
     return model, config
+
+
+def fleet(dtype, n_models=3, batch=9, **overrides):
+    """``n_models`` same-architecture models and one window set each."""
+    models = [build(dtype, seed=seed, **overrides)[0]
+              for seed in range(n_models)]
+    config = models[0].config
+    rng = np.random.default_rng(7)
+    window_sets = [np.ascontiguousarray(
+        rng.normal(size=(batch, config.n_series, config.window)),
+        dtype=models[0].embedding.weight.data.dtype)
+        for _ in models]
+    return models, window_sets
 
 
 def window_batch(model, batch=7, seed=1):
@@ -121,7 +136,7 @@ class TestForwardParity:
         engine = InferenceEngine(model)
         stage = engine._stage()
         space = engine.arena.space(("test", x.shape))
-        probs, _emb, _scores = engine._attention_probs(space, x, stage)
+        probs = engine._attention_probs(space, x, stage)
         scale = 1.0 / (attention.temperature * np.sqrt(attention.d_qk))
         with no_grad():
             reference = F.causal_attention_probs(
@@ -189,46 +204,65 @@ class TestForwardParity:
 
 
 class TestCachePathParity:
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_interpretation_forward_matches_cache_path(self, dtype):
-        model, _config = build(dtype)
-        x = window_batch(model)
-        with no_grad():
-            _prediction, reference = model(Tensor(x.copy()), return_cache=True)
-        forward = InferenceEngine(model).interpretation_forward(x)
-        cache = forward.cache
-        for field in ("inputs", "embedding", "values", "values_pre_shift",
-                      "conv_windows", "attention_combined", "ffn_hidden",
-                      "ffn_activated", "ffn_output", "output"):
-            assert np.array_equal(np.asarray(getattr(reference, field)),
-                                  np.asarray(getattr(cache, field))), field
-        for head_ref, head in zip(reference.head_caches, cache.head_caches):
-            assert np.array_equal(head_ref.attention_data, head.attention_data)
-            assert np.array_equal(head_ref.head_output_data,
-                                  head.head_output_data)
-            assert np.array_equal(head_ref.scores_data, head.scores_data)
+    """The detector's interpretation path against the autograd oracle.
 
+    Row ``m`` of the stacked cache forward must equal model ``m``'s autograd
+    cache (``model(Tensor(x), return_cache=True)``), and row ``m`` of the
+    stacked multi-target gradients one autograd ``backward()`` per target —
+    at ``M = 1`` (how a solo detector scores) and ``M = 3`` (a sweep group).
+    """
+
+    @pytest.mark.parametrize("n_models", [1, 3])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("single_kernel", [False, True])
-    def test_interpretation_gradients_match_autograd(self, dtype, single_kernel):
-        model, config = build(dtype, single_kernel=single_kernel)
-        x = window_batch(model, batch=4)
-        engine = InferenceEngine(model)
-        forward = engine.interpretation_forward(x)
-        targets = list(range(config.n_series))
+    def test_interpretation_forward_matches_autograd_cache(
+            self, n_models, dtype, single_kernel):
+        models, window_sets = fleet(dtype, n_models,
+                                    single_kernel=single_kernel)
+        forward = StackedInferenceEngine(models).interpretation_forward(
+            window_sets)
+        assert forward.n_models == n_models
+        for model, windows, cache in zip(models, window_sets, forward.caches):
+            with no_grad():
+                _prediction, reference = model(Tensor(windows.copy()),
+                                               return_cache=True)
+            for name in ("inputs", "embedding", "values", "values_pre_shift",
+                         "conv_windows", "attention_combined", "ffn_hidden",
+                         "ffn_activated", "ffn_output", "output"):
+                assert np.array_equal(np.asarray(getattr(reference, name)),
+                                      np.asarray(getattr(cache, name))), name
+            for head_ref, head in zip(reference.head_caches,
+                                      cache.head_caches):
+                assert np.array_equal(head_ref.attention_data,
+                                      head.attention_data)
+                assert np.array_equal(head_ref.head_output_data,
+                                      head.head_output_data)
+                assert np.array_equal(head_ref.scores_data, head.scores_data)
+
+    @pytest.mark.parametrize("n_models", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("single_kernel", [False, True])
+    def test_interpretation_gradients_match_autograd(self, n_models, dtype,
+                                                     single_kernel):
+        models, window_sets = fleet(dtype, n_models, batch=4,
+                                    single_kernel=single_kernel)
+        targets = list(range(models[0].config.n_series))
+        engine = StackedInferenceEngine(models)
         attention_grads, kernel_grads = engine.interpretation_gradients(
-            forward, targets)
-        for index, target in enumerate(targets):
-            model.zero_grad()
-            prediction, cache = model(Tensor(x.copy()), return_cache=True)
-            one_hot = np.zeros_like(prediction.data)
-            one_hot[:, target, :] = 1.0
-            (prediction * Tensor(one_hot)).sum().backward()
-            for head, head_cache in enumerate(cache.head_caches):
-                assert np.array_equal(head_cache.attention.grad,
-                                      attention_grads[index, head])
-            assert np.array_equal(model.convolution.kernel.grad,
-                                  kernel_grads[index])
+            engine.interpretation_forward(window_sets), targets)
+        for row, (model, windows) in enumerate(zip(models, window_sets)):
+            for index, target in enumerate(targets):
+                model.zero_grad()
+                prediction, cache = model(Tensor(windows.copy()),
+                                          return_cache=True)
+                one_hot = np.zeros_like(prediction.data)
+                one_hot[:, target, :] = 1.0
+                (prediction * Tensor(one_hot)).sum().backward()
+                for head, head_cache in enumerate(cache.head_caches):
+                    assert np.array_equal(head_cache.attention.grad,
+                                          attention_grads[row, index, head])
+                assert np.array_equal(model.convolution.kernel.grad,
+                                      kernel_grads[row, index])
 
 
 class TestSteadyStateReuse:
@@ -244,13 +278,11 @@ class TestSteadyStateReuse:
         assert engine.arena.buffer_ids() == identifiers
 
     def test_interpretation_forward_reuses_buffers(self):
-        model, config = build(np.float64)
-        engine = InferenceEngine(model)
-        windows = np.random.default_rng(5).normal(
-            size=(4, config.n_series, config.window))
-        engine.interpretation_forward(windows)
+        models, window_sets = fleet(np.float64, n_models=2, batch=4)
+        engine = StackedInferenceEngine(models)
+        engine.interpretation_forward(window_sets)
         identifiers = engine.arena.buffer_ids()
-        engine.interpretation_forward(windows)
+        engine.interpretation_forward(window_sets)
         assert engine.arena.buffer_ids() == identifiers
 
     def test_training_backward_arena_reused_across_steps(self):
@@ -272,23 +304,9 @@ class TestStackedEngine:
     single-model engine, in float64 and float32 alike (the stacked buffers
     dispatch the same per-slice GEMMs and reductions)."""
 
-    def _fleet(self, dtype, n_models=3, **overrides):
-        models = [build(dtype, seed=seed, **overrides)[0]
-                  for seed in range(n_models)]
-        rng = np.random.default_rng(7)
-        window_sets = [np.ascontiguousarray(
-            rng.normal(size=(9,
-                             models[0].config.n_series,
-                             models[0].config.window)),
-            dtype=models[0].embedding.weight.data.dtype)
-            for _ in models]
-        return models, window_sets
-
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_evaluate_matches_per_model(self, dtype):
-        from repro.nn.inference import StackedInferenceEngine
-
-        models, window_sets = self._fleet(dtype)
+        models, window_sets = fleet(dtype)
         stacked = StackedInferenceEngine(models).evaluate(window_sets, 4)
         single = [InferenceEngine(model).evaluate(windows, 4)
                   for model, windows in zip(models, window_sets)]
@@ -296,10 +314,8 @@ class TestStackedEngine:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_chunked_evaluate_matches_per_model(self, dtype, monkeypatch):
-        from repro.nn.inference import StackedInferenceEngine
-
         monkeypatch.setattr(InferenceEngine, "FULL_BATCH_ELEMENT_LIMIT", 1)
-        models, window_sets = self._fleet(dtype)
+        models, window_sets = fleet(dtype)
         stacked = StackedInferenceEngine(models).evaluate(window_sets, 4)
         single = [InferenceEngine(model).evaluate(windows, 4)
                   for model, windows in zip(models, window_sets)]
@@ -307,9 +323,7 @@ class TestStackedEngine:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_forward_matches_per_model(self, dtype):
-        from repro.nn.inference import StackedInferenceEngine
-
-        models, window_sets = self._fleet(dtype)
+        models, window_sets = fleet(dtype)
         stacked = StackedInferenceEngine(models).forward(window_sets)
         for row, (model, windows) in enumerate(zip(models, window_sets)):
             # predict() replays the same Tensor-construction cast chain the
@@ -318,70 +332,20 @@ class TestStackedEngine:
             single = InferenceEngine(model).predict(windows)
             assert np.array_equal(stacked[row], single)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("single_kernel", [False, True])
-    def test_interpretation_forward_matches_per_model(self, dtype,
-                                                      single_kernel):
-        from repro.nn.inference import StackedInferenceEngine
-
-        models, window_sets = self._fleet(dtype, single_kernel=single_kernel)
-        stacked = StackedInferenceEngine(models)
-        forward = stacked.interpretation_forward(window_sets)
-        for row, (model, windows) in enumerate(zip(models, window_sets)):
-            reference = InferenceEngine(model).interpretation_forward(windows)
-            cache_a, cache_b = reference.cache, forward.forwards[row].cache
-            for name in ("inputs", "embedding", "values_pre_shift", "values",
-                         "conv_windows", "attention_combined", "ffn_hidden",
-                         "ffn_activated", "ffn_output", "output"):
-                assert np.array_equal(getattr(cache_a, name),
-                                      getattr(cache_b, name)), name
-            for head_a, head_b in zip(cache_a.head_caches,
-                                      cache_b.head_caches):
-                assert np.array_equal(head_a.attention_data,
-                                      head_b.attention_data)
-                assert np.array_equal(head_a.head_output_data,
-                                      head_b.head_output_data)
-                assert np.array_equal(head_a.scores_data, head_b.scores_data)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("single_kernel", [False, True])
-    def test_interpretation_gradients_match_per_model(self, dtype,
-                                                      single_kernel):
-        from repro.nn.inference import StackedInferenceEngine
-
-        models, window_sets = self._fleet(dtype, single_kernel=single_kernel)
-        targets = list(range(models[0].config.n_series))
-        stacked = StackedInferenceEngine(models)
-        forward = stacked.interpretation_forward(window_sets)
-        attention_grads, kernel_grads = stacked.interpretation_gradients(
-            forward, targets)
-        for row, (model, windows) in enumerate(zip(models, window_sets)):
-            engine = InferenceEngine(model)
-            reference = engine.interpretation_gradients(
-                engine.interpretation_forward(windows), targets)
-            assert np.array_equal(attention_grads[row], reference[0])
-            assert np.array_equal(kernel_grads[row], reference[1])
-
     def test_rejects_mismatched_architectures(self):
-        from repro.nn.inference import StackedInferenceEngine
-
         model_a, _ = build(np.float64)
         model_b, _ = build(np.float64, window=16)
         with pytest.raises(ValueError, match="same-architecture"):
             StackedInferenceEngine([model_a, model_b])
 
     def test_rejects_mismatched_window_shapes(self):
-        from repro.nn.inference import StackedInferenceEngine
-
-        models, window_sets = self._fleet(np.float64, n_models=2)
+        models, window_sets = fleet(np.float64, n_models=2)
         with pytest.raises(ValueError, match="same-shape"):
             StackedInferenceEngine(models).evaluate(
                 [window_sets[0], window_sets[1][:4]], 4)
 
     def test_steady_state_reuses_buffers(self):
-        from repro.nn.inference import StackedInferenceEngine
-
-        models, window_sets = self._fleet(np.float64)
+        models, window_sets = fleet(np.float64)
         engine = StackedInferenceEngine(models)
         first = engine.evaluate(window_sets, 4)
         identifiers = engine.arena.buffer_ids()
@@ -392,8 +356,6 @@ class TestStackedEngine:
 
 class TestStackedEngineValidation:
     def test_rejects_mismatched_temperature(self):
-        from repro.nn.inference import StackedInferenceEngine
-
         model_a, _ = build(np.float64)
         model_b, _ = build(np.float64, seed=1)
         model_b.attention.temperature = 2.0

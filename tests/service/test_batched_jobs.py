@@ -175,13 +175,22 @@ class TestFallback:
             self, four_pairs, monkeypatch):
         import repro.core.detector as core_detector
 
-        def explode(*_args, **_kwargs):
-            raise RuntimeError("stacked interpretation unavailable")
+        original = core_detector.compute_scores_group
+        group_sizes = []
+
+        def explode(detectors, windows_list, arena=None):
+            # A solo detector scores as a group of one, so only the stacked
+            # multi-model call fails; the per-job fallback still scores.
+            group_sizes.append(len(detectors))
+            if len(detectors) > 1:
+                raise RuntimeError("stacked interpretation unavailable")
+            return original(detectors, windows_list, arena=arena)
 
         monkeypatch.setattr(core_detector, "compute_scores_group", explode)
         results = execute_batched_jobs(four_pairs)
         assert len(results) == 4
         assert all(result.ok for result in results)
+        assert group_sizes[0] > 1 and group_sizes[1:] == [1] * 4
 
 
 class TestCaching:
