@@ -26,6 +26,20 @@ def run_cli(*argv, cache_dir):
     )
 
 
+class TestImports:
+    def test_service_entry_points_do_not_import_networkx(self):
+        """networkx is imported only by the graph conversions that need it."""
+        probe = ("import sys, repro.service.cli, repro.service.executor; "
+                 "print('networkx' in sys.modules)")
+        completed = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": _SRC},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "False"
+
+
 class TestDiscover:
     def test_diamond_smoke(self, tmp_path):
         completed = run_cli("discover", "--dataset", "diamond",
