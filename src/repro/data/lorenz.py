@@ -11,22 +11,38 @@ so each variable ``x_i`` is causally driven by ``x_{i-2}``, ``x_{i-1}``,
 ``F ∈ [30, 40]`` over 1,000 units; we integrate with a fourth-order
 Runge–Kutta scheme and subsample to the requested length.
 
-The integrator steps a Python ``list`` of floats, not an ndarray.  At the
-paper's size a state has only ten entries, so a vectorised step is all
-per-call overhead: the three ``np.roll`` calls of every derivative
-evaluation cost far more than the forty multiply-adds they feed.  The
-scalar loop reads each variable's ring neighbours through indices
-precomputed once and is an order of magnitude faster at that size.  Python
-floats are IEEE doubles and the loop performs the same operations in the
-same order as the vector form :func:`lorenz96_derivative` with the RK4
-update ``state + dt/6 * (k1 + 2 k2 + 2 k3 + k4)``, so its trajectories are
+The integrator is generated Python source, one straight-line RK4 loop per
+ring size ``N``.  At the paper's size a state has only ten entries, so a
+vectorised step is all per-call overhead (the three ``np.roll`` calls of
+every derivative evaluation cost far more than the forty multiply-adds they
+feed), and a scalar loop over a list still spends most of its time building
+lists, zips and index tuples.  The generated loop holds every ring variable
+and RK4 stage value in a plain local and spells out each ring neighbour, so
+a step is only float arithmetic on locals.
+
+The generated source may contain only: the locals ``x0 … x{N-1}`` (state),
+``y0 …`` (stage input) and ``a0 … d0 …`` (the four stage derivatives), the
+kernel's own parameters, float arithmetic between them, the literal
+``2.0``, and the loop that keeps one sample per ``counts`` entry.  It is
+built from integer ring indices alone, after ``operator.index(n_series)``;
+no caller-supplied text reaches it.  Each size is compiled once per process
+and cached.
+
+Python floats are IEEE doubles and every generated line performs the
+operations of the vector form :func:`lorenz96_derivative` with the RK4
+update in the same order: ``(x[i+1] - x[i-2]) x[i-1] - x[i] + F`` for each
+derivative, ``x + dt/2 k`` and ``x + dt k`` for the stage inputs and
+``x + dt/6 (a + 2 b + 2 c + d)`` for the update, with the step scalars
+formed as the vector form forms them.  So the trajectories are
 bit-identical to integrating that vector form.  The initial state and the
 observation noise are drawn with numpy from the caller's generator.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import functools
+import operator
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -58,6 +74,7 @@ def simulate_lorenz96(n_series: int = 10, length: int = 1000, forcing: float = 3
     noise_std:
         Optional observation noise added after integration (``>= 0``).
     """
+    n_series = operator.index(n_series)
     if n_series < 4:
         raise ValueError("Lorenz-96 needs at least 4 variables")
     if length <= 0:
@@ -70,36 +87,57 @@ def simulate_lorenz96(n_series: int = 10, length: int = 1000, forcing: float = 3
         raise ValueError("burn_in must be non-negative")
     if noise_std < 0:
         raise ValueError("noise_std must be non-negative")
+    kernel = _rk4_kernel(n_series)
     rng = rng or np.random.default_rng()
     state = (forcing * np.ones(n_series) + rng.normal(0.0, 0.5, size=n_series)).tolist()
-    forcing = float(forcing)
-    # (i+1, i-2, i-1, i) on the ring, for dx_i/dt = (x_{i+1} - x_{i-2}) x_{i-1} - x_i + F.
-    ring = [((i + 1) % n_series, (i - 2) % n_series, (i - 1) % n_series, i)
-            for i in range(n_series)]
-
-    def derivative(x: List[float]) -> List[float]:
-        return [(x[ahead] - x[back2]) * x[back1] - x[i] + forcing
-                for ahead, back2, back1, i in ring]
-
     # The step scalars are formed as the vector form forms them, then held
     # as Python floats so every stage multiplies in double precision.
-    half_dt = float(0.5 * dt)
-    sixth_dt = float(dt / 6.0)
-    dt = float(dt)
-    samples: List[List[float]] = []
-    for step in range(burn_in + (length - 1) * subsample + 1):
-        k1 = derivative(state)
-        k2 = derivative([x + half_dt * k for x, k in zip(state, k1)])
-        k3 = derivative([x + half_dt * k for x, k in zip(state, k2)])
-        k4 = derivative([x + dt * k for x, k in zip(state, k3)])
-        state = [x + sixth_dt * (a + 2 * b + 2 * c + d)
-                 for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
-        if step >= burn_in and (step - burn_in) % subsample == 0:
-            samples.append(state)
+    samples = kernel(state, float(forcing), float(0.5 * dt), float(dt), float(dt / 6.0),
+                     [burn_in + 1] + [subsample] * (length - 1))
     trajectory = np.ascontiguousarray(np.array(samples).T)
     if noise_std > 0:
         trajectory = trajectory + rng.normal(0.0, noise_std, size=trajectory.shape)
     return trajectory
+
+
+def _derivative_lines(stage: str, x: str, n: int) -> List[str]:
+    """``stage{i} = dx_i/dt`` at the ring state held in locals ``x0 … x{n-1}``."""
+    return [f"{stage}{i} = ({x}{(i + 1) % n} - {x}{(i - 2) % n}) * {x}{(i - 1) % n}"
+            f" - {x}{i} + forcing" for i in range(n)]
+
+
+@functools.lru_cache(maxsize=32)
+def _rk4_kernel(n: int) -> Callable[..., List[tuple]]:
+    """Compile the straight-line RK4 loop for a ring of ``n`` variables.
+
+    The kernel takes the initial state, ``forcing``, ``half_dt``, ``dt``,
+    ``sixth_dt`` and ``counts``, a list of step counts: it integrates
+    ``counts[k]`` steps, then keeps the state as the ``k``-th sample, and
+    returns the kept states as tuples.
+    """
+    n = operator.index(n)
+    ring = ", ".join(f"x{i}" for i in range(n))
+    body = _derivative_lines("a", "x", n)
+    for stage, scale, prev in (("b", "half_dt", "a"), ("c", "half_dt", "b"), ("d", "dt", "c")):
+        body += [f"y{i} = x{i} + {scale} * {prev}{i}" for i in range(n)]
+        body += _derivative_lines(stage, "y", n)
+    # 2.0 is the double numpy converts the vector form's ``2 *`` to; a float
+    # literal keeps the multiply on CPython's float-float fast path.
+    body += [f"x{i} = x{i} + sixth_dt * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"
+             for i in range(n)]
+    source = "\n".join([
+        "def rk4(state, forcing, half_dt, dt, sixth_dt, counts):",
+        f"    {ring}, = state",
+        "    samples = []",
+        "    for count in counts:",
+        "        for _ in range(count):",
+        *(f"            {line}" for line in body),
+        f"        samples.append(({ring},))",
+        "    return samples",
+    ])
+    namespace: dict = {}
+    exec(compile(source, f"<lorenz96 rk4 n={n}>", "exec"), namespace)
+    return namespace["rk4"]
 
 
 def lorenz96_graph(n_series: int = 10, include_self_loops: bool = True) -> TemporalCausalGraph:

@@ -61,6 +61,8 @@ class VarProcessSpec:
             raise ValueError("length must be positive")
         if self.noise_std < 0:
             raise ValueError("noise_std must be non-negative")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be non-negative")
         if self.nonlinearity not in _NONLINEARITIES:
             raise ValueError(
                 f"unknown nonlinearity {self.nonlinearity!r}; choose from {sorted(_NONLINEARITIES)}"
@@ -86,15 +88,21 @@ def simulate_var(spec: VarProcessSpec, rng: Optional[np.random.Generator] = None
     total = spec.length + spec.burn_in
     values = np.zeros((n, total))
     values[:, :max_delay] = rng.normal(0.0, spec.noise_std, size=(n, max_delay))
+    # All innovation noise in one draw: the generator yields the same stream
+    # as one draw of n per step, and row t - max_delay is step t's noise.
+    innovations = rng.normal(0.0, spec.noise_std, size=(total - max_delay, n))
 
     instantaneous = weights[0]
     has_instantaneous = np.any(instantaneous != 0.0)
 
+    # The state stays series-major: ``values[:, t - lag]`` is the strided
+    # operand every ``@`` below has always received, and BLAS may sum a
+    # strided vector in a different order than a contiguous one.
     for t in range(max_delay, total):
         drive = np.zeros(n)
         for lag in range(1, max_delay + 1):
             drive += link(values[:, t - lag]) @ weights[lag]
-        noise = rng.normal(0.0, spec.noise_std, size=n)
+        noise = innovations[t - max_delay]
         current = drive + noise
         if has_instantaneous:
             # One pass of instantaneous propagation (the generating graph is

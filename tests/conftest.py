@@ -2,16 +2,30 @@
 
 The expensive fixtures (trained models) are session-scoped so the many tests
 that inspect a trained CausalFormer share one training run.
+
+Hypothesis profiles: ``tier-1`` is loaded by default and bounds the tests
+that take their example budget from the profile (the Lorenz-96 and VAR
+generator oracles; every other property test pins its own).
+``generator-oracles`` is the deeper budget CI runs those oracles at::
+
+    pytest tests/data/test_lorenz.py::TestReferenceIntegrator \
+        tests/data/test_var.py::TestReferenceSimulation \
+        --hypothesis-profile=generator-oracles
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import CausalFormer, CausalFormerConfig, CausalityAwareTransformer, fast_preset
 from repro.data import fork_dataset, v_structure_dataset
 from repro.nn.tensor import Tensor
+
+settings.register_profile("tier-1", max_examples=40)
+settings.register_profile("generator-oracles", max_examples=1000)
+settings.load_profile("tier-1")
 
 
 def numeric_gradient(function, x: np.ndarray, epsilon: float = 1e-6) -> np.ndarray:
