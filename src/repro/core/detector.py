@@ -74,10 +74,6 @@ class DecompositionCausalityDetector:
         if not use_relevance and not use_gradient:
             raise ValueError("at least one of relevance or gradients must be used")
 
-    #: soft bound on the largest per-chunk intermediate (elements) when the
-    #: per-target gradient/relevance pass is vectorised over target series.
-    TARGET_CHUNK_ELEMENTS = 4_000_000
-
     @staticmethod
     def _interpretation_model(model: CausalityAwareTransformer
                               ) -> CausalityAwareTransformer:
@@ -137,47 +133,6 @@ class DecompositionCausalityDetector:
         kernel_scores = np.transpose(kernel, (1, 0, 2))
         return CausalScores(attention=attention, kernel=kernel_scores)
 
-    def _combine_target(self, cache, target: int,
-                        attention_gradient_stack: Optional[np.ndarray],
-                        kernel_gradient: Optional[np.ndarray],
-                        relevance) -> Tuple[np.ndarray, np.ndarray]:
-        """Gradient modulation ``S = E_h[|∇f| ⊙ R]⁺`` (Eq. 19) for one target."""
-        n_series = cache.output.shape[1]
-        window = cache.output.shape[2]
-        if kernel_gradient is not None:
-            kernel_gradient = np.broadcast_to(np.abs(kernel_gradient),
-                                              (n_series, n_series, window))
-
-        attention_accumulator = np.zeros((n_series, n_series))
-        kernel_accumulator = np.zeros((n_series, n_series, window))
-        n_heads = len(cache.head_caches)
-        for head_index, head_cache in enumerate(cache.head_caches):
-            if self.use_relevance:
-                relevance_attention = relevance.heads[head_index].attention
-                relevance_kernel = relevance.heads[head_index].kernel
-            else:
-                relevance_attention = np.ones_like(head_cache.attention_data)
-                relevance_kernel = np.ones((n_series, n_series, window))
-
-            if self.use_gradient:
-                attention_gradient = np.abs(attention_gradient_stack[head_index])
-                attention_term = attention_gradient * relevance_attention
-                kernel_term = kernel_gradient * relevance_kernel
-            else:
-                attention_term = relevance_attention
-                kernel_term = relevance_kernel
-
-            attention_accumulator += attention_term.mean(axis=0)
-            kernel_accumulator += kernel_term
-        attention_scores = np.maximum(attention_accumulator / n_heads, 0.0)
-        kernel_scores = np.maximum(kernel_accumulator / n_heads, 0.0)
-
-        # The paper selects S(A)[i]_{i,:} (causes of the target) and
-        # S(K)[i]_{:,i,:} (kernel scores of sources for the target).
-        row = attention_scores[target, :]
-        kernel_slab = kernel_scores[:, target, :]
-        return row, kernel_slab
-
     # ------------------------------------------------------------------ #
     # Causal graph construction (Sec. 4.2.3)
     # ------------------------------------------------------------------ #
@@ -224,12 +179,16 @@ def compute_scores_group(detectors: Sequence[DecompositionCausalityDetector],
     The detector's one interpretation path (a solo
     :meth:`DecompositionCausalityDetector.compute_scores` is this function
     at ``M = 1``): one stacked cache forward shared by every model *and*
-    target, one stacked hand-derived multi-target backward for the Fig. 6b
-    gradients, and one model-axis relevance propagation — no autograd
-    graph.  Every returned :class:`CausalScores` is **bit-identical** to
-    scoring ``detectors[m]`` in a group of its own, across all Table 3
-    ablations (the detectors must share their ablation flags and
-    configuration; the window sets must share one shape).
+    target, one stacked hand-derived backward for the Fig. 6b gradients and
+    one model-axis relevance propagation — no autograd graph.  Target ``i``
+    reads only attention row ``[:, i, :]`` and kernel column ``[:, i, :]``
+    (Sec. 4.2.3), so the backward and the propagation seed every target on
+    its own output row and compute just those rows, one ``N × N`` map for
+    all ``N`` targets instead of one per target; :func:`gradient_modulation`
+    combines them.  Every returned :class:`CausalScores` is
+    **bit-identical** to scoring ``detectors[m]`` in a group of its own,
+    across all Table 3 ablations (the detectors must share their ablation
+    flags and configuration; the window sets must share one shape).
 
     ``arena`` optionally hands the stacked engine an existing
     :class:`~repro.nn.inference.ScratchArena` — the batched sweep passes its
@@ -287,42 +246,55 @@ def compute_scores_group(detectors: Sequence[DecompositionCausalityDetector],
         return [detector._raw_weight_scores(cache)
                 for detector, cache in zip(detectors, forward.caches)]
 
-    m = len(detectors)
-    batch, n_series, window = prepared_windows[0].shape
-    propagation = StackedRelevancePropagation(
-        models, use_bias=first.use_bias,
-        epsilon=first.config.relevance_epsilon) if first.use_relevance \
-        else None
-    prepared = propagation.prepare(forward) if propagation is not None \
-        else None
-    attention_scores = np.zeros((m, n_series, n_series))
-    kernel_scores = np.zeros((m, n_series, n_series, window))
-    per_target = max(m * batch * n_series * n_series * window, 1)
-    chunk_size = max(1,
-                     DecompositionCausalityDetector.TARGET_CHUNK_ELEMENTS
-                     // per_target)
-    for start in range(0, n_series, chunk_size):
-        targets = list(range(start, min(start + chunk_size, n_series)))
-        if first.use_gradient:
-            attention_grads, kernel_grads = \
-                engine.interpretation_gradients(forward, targets)
+    gradients = relevance = (None, None)
+    if first.use_gradient:
+        gradients = engine.interpretation_gradients(forward)
+    if first.use_relevance:
+        relevance = StackedRelevancePropagation(
+            models, use_bias=first.use_bias,
+            epsilon=first.config.relevance_epsilon).propagate_targets(forward)
+    attention, kernel = gradient_modulation(*gradients, *relevance)
+    # kernel[m, source, target, τ] → scores[target, source, τ]
+    kernel = np.ascontiguousarray(kernel.transpose(0, 2, 1, 3))
+    return [CausalScores(attention=attention[row], kernel=kernel[row])
+            for row in range(len(detectors))]
+
+
+def gradient_modulation(attention_grads: Optional[np.ndarray],
+                        kernel_grads: Optional[np.ndarray],
+                        attention_relevance: Optional[np.ndarray],
+                        kernel_relevance: Optional[np.ndarray]
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """Gradient modulation ``S = E_h[|∇f| ⊙ R]⁺`` (Eq. 19), all targets.
+
+    Takes, stacked over models ``M``, attention maps ``(M, h, B, N, N)``
+    whose row ``[:, i, :]`` is target ``i``'s and kernel maps
+    ``(M, h, N, N, K)`` whose column ``[:, i, :]`` is target ``i``'s, for
+    the relevance and the gradients (the kernel gradient has no head axis:
+    ``(M, N, N, K)``, or ``(M, 1, N, K)`` for a single kernel).  The
+    ablated factor is ``None``.  Returns ``S(A)`` ``(M, N, N)``, whose row
+    ``i`` is ``S(A)[i]_{i,:}`` (target ``i``'s causes), and ``S(K)``
+    ``(M, N, N, K)``, whose column ``i`` is ``S(K)[i]_{:,i,:}`` (its
+    sources' kernel positions).
+    """
+    heads = attention_relevance if attention_grads is None else attention_grads
+    m, n_heads, _batch, n_series, _ = heads.shape
+    if kernel_grads is not None:
+        kernel_grads = np.broadcast_to(np.abs(kernel_grads),
+                                       (m, n_series) + kernel_grads.shape[2:])
+    attention = kernel = 0.0
+    for head in range(n_heads):
+        if attention_grads is None:
+            attention_term = attention_relevance[:, head]
+            kernel_term = kernel_relevance[:, head]
+        elif attention_relevance is None:
+            attention_term = np.abs(attention_grads[:, head])
+            kernel_term = kernel_grads
         else:
-            attention_grads = kernel_grads = None
-        if first.use_relevance:
-            relevances = propagation.propagate_targets(
-                forward, targets, prepared=prepared, include_values=False)
-        else:
-            relevances = None
-        for row, detector in enumerate(detectors):
-            for index, target in enumerate(targets):
-                score_row, kernel_slab = detector._combine_target(
-                    forward.caches[row], target,
-                    None if attention_grads is None
-                    else attention_grads[row, index],
-                    None if kernel_grads is None
-                    else kernel_grads[row, index],
-                    None if relevances is None else relevances[row][index])
-                attention_scores[row, target] = score_row
-                kernel_scores[row, target] = kernel_slab
-    return [CausalScores(attention=attention_scores[row],
-                         kernel=kernel_scores[row]) for row in range(m)]
+            attention_term = np.abs(attention_grads[:, head]) \
+                * attention_relevance[:, head]
+            kernel_term = kernel_grads * kernel_relevance[:, head]
+        attention = attention + attention_term.mean(axis=1)
+        kernel = kernel + kernel_term
+    return (np.maximum(attention / n_heads, 0.0),
+            np.maximum(kernel / n_heads, 0.0))

@@ -25,7 +25,7 @@ two tensors the causal-graph construction reads (Sec. 4.2.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,9 +157,7 @@ class RegressionRelevancePropagation:
         return self.propagate_targets(cache, [target])[0]
 
     def propagate_targets(self, cache: TransformerCache,
-                          targets: Sequence[int],
-                          prepared: Optional[PreparedPropagation] = None,
-                          include_values: bool = True) -> List[RelevanceResult]:
+                          targets: Sequence[int]) -> List[RelevanceResult]:
         """Propagate several target series in one vectorised pass.
 
         Relevance propagation is linear in the output relevance, so the
@@ -169,14 +167,8 @@ class RegressionRelevancePropagation:
         same floating-point results as one pass per target (the contraction
         order over the summed indices is unchanged), so ``propagate`` stays
         bit-identical to the historical per-target implementation.
-
-        ``include_values=False`` skips storing the per-head ``(B, N, N, T)``
-        values relevance in the results (the detector only consumes the
-        attention and kernel relevance; callers chunk ``targets`` to bound
-        the intermediates' memory).
         """
-        if prepared is None:
-            prepared = self.prepare(cache)
+        prepared = self.prepare(cache)
         batch, n_series, window = cache.output.shape
         for target in targets:
             if not (0 <= target < n_series):
@@ -204,7 +196,7 @@ class RegressionRelevancePropagation:
 
         values = cache.values
         per_head_attention: List[np.ndarray] = []
-        per_head_values: List[Optional[np.ndarray]] = []
+        per_head_values: List[np.ndarray] = []
         per_head_kernel: List[np.ndarray] = []
         for head_index, head_cache in enumerate(cache.head_caches):
             # Head concatenation: combined = Σ_h W_O[h] · head_output_h.
@@ -235,7 +227,7 @@ class RegressionRelevancePropagation:
                 "bitk,gbijt->gijk", prepared.scaled_windows, ratio_values)
 
             per_head_attention.append(relevance_attention)
-            per_head_values.append(relevance_values if include_values else None)
+            per_head_values.append(relevance_values)
             per_head_kernel.append(relevance_kernel)
 
         results: List[RelevanceResult] = []
@@ -243,8 +235,7 @@ class RegressionRelevancePropagation:
             heads = [
                 HeadRelevance(
                     attention=per_head_attention[head_index][index],
-                    values=(per_head_values[head_index][index]
-                            if include_values else None),
+                    values=per_head_values[head_index][index],
                     kernel=per_head_kernel[head_index][index],
                 )
                 for head_index in range(len(cache.head_caches))
@@ -301,13 +292,16 @@ class StackedRelevancePropagation:
     """RRP with a leading model axis over a stacked interpretation forward.
 
     Propagates relevance for ``M`` same-architecture models (a batched
-    sweep group) and ``G`` target series in one vectorised pass.  Every
-    between-layer matmul and Eq. 18 einsum simply gains a leading model
-    subscript; batched matmuls dispatch the same per-slice GEMMs and einsum
-    keeps its per-element contraction order, so row ``m`` of every result is
-    **bit-identical** to :class:`RegressionRelevancePropagation` on model
-    ``m`` alone (the stacked-interpretation tests assert exactly this,
-    across all Table 3 ablations).
+    sweep group) and every target series in one vectorised pass, computing
+    only what the detector reads: target ``i``'s attention row
+    ``S(A)[i]_{i,:}`` and kernel column ``S(K)[i]_{:,i,:}`` (Sec. 4.2.3),
+    assembled into one map per head instead of ``N`` per-target full maps.
+    Batched matmuls dispatch the same per-slice GEMMs and every einsum
+    keeps its per-element contraction order, so each returned row and
+    column is **bit-identical** to the same row and column of
+    :class:`RegressionRelevancePropagation` on model ``m`` alone (the
+    stacked-interpretation tests assert exactly this, across all Table 3
+    ablations and at the production shapes).
     """
 
     def __init__(self, models: Sequence[CausalityAwareTransformer],
@@ -358,86 +352,60 @@ class StackedRelevancePropagation:
             w1=np.stack([model.feed_forward.w1.data for model in models]),
         )
 
-    def propagate_targets(self, forward, targets: Sequence[int],
-                          prepared: Optional[PreparedStackedPropagation] = None,
-                          include_values: bool = False
-                          ) -> List[List[RelevanceResult]]:
-        """Propagate several targets for every model in one stacked pass.
+    def propagate_targets(self, forward) -> Tuple[np.ndarray, np.ndarray]:
+        """Propagate every target series at once, each on its own row.
 
-        Returns ``results[m][g]`` — one :class:`RelevanceResult` per
-        (model, target), bit-identical to the per-model propagation.
+        Returns ``(attention, kernel)`` of shapes ``(M, h, B, N, N)`` and
+        ``(M, h, N, N, K)``: attention row ``[:, i, :]`` and kernel column
+        ``[:, i, :]`` hold target ``i``'s relevance.  Every layer above the
+        attention application acts series by series, and the attention
+        application and convolution keep target ``i``'s terms in that row
+        and column, so seeding each target's one-hot on its own output row
+        propagates all of them without interference.
         """
-        if prepared is None:
-            prepared = self.prepare(forward)
-        m, batch, n_series, window = forward.output.shape
-        for target in targets:
-            if not (0 <= target < n_series):
-                raise IndexError(
-                    f"target series {target} out of range [0, {n_series})")
-        n_targets = len(targets)
-        diag = np.arange(n_series)
-        n_heads = forward.attention_probs.shape[1]
-
-        relevance_output = np.zeros((m, n_targets, batch, n_series, window))
-        for index, target in enumerate(targets):
-            relevance_output[:, index, :, target, :] = 1.0
+        prepared = self.prepare(forward)
+        diag = np.arange(forward.output.shape[2])
+        relevance_output = np.ones(forward.output.shape)
 
         # Output layer → feed-forward second linear → (pass-through leaky
         # ReLU) → feed-forward first linear (Eq. 15/17), model axis leading.
-        relevance_ffn_out = forward.ffn_output[:, None] * (
-            (relevance_output / prepared.d_output[:, None])
-            @ prepared.w_output.transpose(0, 2, 1)[:, None, None])
-        relevance_activated = forward.activated[:, None] * (
-            (relevance_ffn_out / prepared.d_ffn_output[:, None])
-            @ prepared.w2.transpose(0, 2, 1)[:, None, None])
-        relevance_attention_combined = forward.combined[:, None] * (
-            (relevance_activated / prepared.d_hidden[:, None])
-            @ prepared.w1.transpose(0, 2, 1)[:, None, None])
+        relevance_ffn_out = forward.ffn_output * (
+            (relevance_output / prepared.d_output)
+            @ prepared.w_output.transpose(0, 2, 1)[:, None])
+        relevance_activated = forward.activated * (
+            (relevance_ffn_out / prepared.d_ffn_output)
+            @ prepared.w2.transpose(0, 2, 1)[:, None])
+        relevance_attention_combined = forward.combined * (
+            (relevance_activated / prepared.d_hidden)
+            @ prepared.w1.transpose(0, 2, 1)[:, None])
 
         values = forward.values
-        per_head_attention: List[np.ndarray] = []
-        per_head_values: List[Optional[np.ndarray]] = []
-        per_head_kernel: List[np.ndarray] = []
-        for head_index in range(n_heads):
-            relevance_head = (prepared.weighted_heads[:, head_index, None]
+        attention_relevance: List[np.ndarray] = []
+        kernel_relevance: List[np.ndarray] = []
+        for head_index in range(forward.attention_probs.shape[1]):
+            relevance_head = (prepared.weighted_heads[:, head_index]
                               * relevance_attention_combined
-                              / prepared.d_combined[:, None])
+                              / prepared.d_combined)
 
+            # Attention application (two-operand rule, Eq. 18):
+            #   head_output[b, i, t] = Σ_j attention[b, i, j] · values[b, j, i, t]
             attention = forward.attention_probs[:, head_index]
-            ratio = relevance_head / prepared.d_heads[:, head_index, None]
-            relevance_attention = attention[:, None] * np.einsum(
-                "mbjit,mgbit->mgbij", values, ratio)
+            ratio = relevance_head / prepared.d_heads[:, head_index]
+            attention_relevance.append(attention * np.einsum(
+                "mbjit,mbit->mbij", values, ratio))
             relevance_values = np.einsum(
-                "mbij,mbjit,mgbit->mgbjit", attention, values, ratio)
+                "mbij,mbjit,mbit->mbjit", attention, values, ratio)
 
-            relevance_pre_shift = relevance_values.copy()
-            relevance_pre_shift[:, :, :, diag, diag, :-1] = \
-                relevance_values[:, :, :, diag, diag, 1:]
-            relevance_pre_shift[:, :, :, diag, diag, -1] = 0.0
+            # Undo the diagonal right-shift before touching the kernel: the
+            # post-shift value at slot t+1 came from the pre-shift value at t.
+            relevance_values[:, :, diag, diag, :-1] = \
+                relevance_values[:, :, diag, diag, 1:]
+            relevance_values[:, :, diag, diag, -1] = 0.0
 
-            ratio_values = relevance_pre_shift / prepared.d_values_pre[:, None]
-            relevance_kernel = prepared.kernel[:, None] * np.einsum(
-                "mbitk,mgbijt->mgijk", prepared.scaled_windows, ratio_values)
-
-            per_head_attention.append(relevance_attention)
-            per_head_values.append(relevance_values if include_values else None)
-            per_head_kernel.append(relevance_kernel)
-
-        results: List[List[RelevanceResult]] = []
-        for row in range(m):
-            model_results: List[RelevanceResult] = []
-            for index, target in enumerate(targets):
-                heads = [
-                    HeadRelevance(
-                        attention=per_head_attention[head_index][row, index],
-                        values=(per_head_values[head_index][row, index]
-                                if include_values else None),
-                        kernel=per_head_kernel[head_index][row, index],
-                    )
-                    for head_index in range(n_heads)
-                ]
-                model_results.append(RelevanceResult(
-                    target=target, heads=heads,
-                    output_relevance=relevance_output[row, index]))
-            results.append(model_results)
-        return results
+            # Convolution (two-operand rule): values_pre[b, i, j, t] =
+            #   Σ_τ kernel[i, j, τ] · windows[b, i, t, τ] / (t + 1)
+            ratio_values = relevance_values / prepared.d_values_pre
+            kernel_relevance.append(prepared.kernel * np.einsum(
+                "mbitk,mbijt->mijk", prepared.scaled_windows, ratio_values))
+        return (np.stack(attention_relevance, axis=1),
+                np.stack(kernel_relevance, axis=1))

@@ -28,8 +28,8 @@ only (a single detector is a stack of one):
 *cache* path (per-head outputs, 3-D linears, einsum head combination),
 whose operation sequence differs slightly from the fast path, and
 :meth:`StackedInferenceEngine.interpretation_gradients` hand-evaluates the
-exact backward of that graph for a batch of target series at once — the
-detector needs no autograd graph at all.
+exact backward of that graph for every target series at once, each on its
+own row — the detector needs no autograd graph at all.
 """
 
 from __future__ import annotations
@@ -1467,55 +1467,49 @@ class StackedInferenceEngine(ProfilingSeam):
             windows_flat=windows_flat, extras={"stage": stage},
         )
 
-    def interpretation_gradients(self, forward: StackedInterpretationForward,
-                                 targets: Sequence[int]
+    def interpretation_gradients(self, forward: StackedInterpretationForward
                                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """Gradients of ``Σ_t prediction[:, target, :]``, stacked over models.
+        """Gradients of ``Σ_t prediction[:, i, :]`` for every target series
+        ``i`` at once, each on its own row.
 
         Returns ``(attention_grads, kernel_grads)`` of shapes
-        ``(M, G, h, B, N, N)`` and ``(M, G, N, N, K)`` (``(M, G, 1, 1, K)``
-        for the single-kernel ablation).  Hand-evaluates the exact backward
-        of the cache-path graph, batched over models and targets with the
-        same per-slice GEMMs, so row ``m`` is bit-identical to one autograd
-        ``backward()`` per target on model ``m``.
+        ``(M, h, B, N, N)`` and ``(M, N, N, K)`` (``(M, 1, N, K)`` for the
+        single-kernel ablation): attention row ``[:, i, :]`` of every head
+        and kernel column ``[:, i, :]`` hold target ``i``'s gradient.  Every
+        layer above the attention application acts series by series, so one
+        backward seeded with ones on every output row carries each target's
+        gradient in its own row.  Hand-evaluates the exact backward of the
+        cache-path graph with the same per-slice GEMMs as one autograd
+        ``backward()`` per target on model ``m``, so every row read is
+        bit-identical to it.
         """
         stage = forward.extras["stage"]
         m, batch, n, window = forward.output.shape
-        n_targets = len(targets)
-        dtype = forward.output.dtype
         diag = np.arange(n)
 
-        grad_pred = np.zeros((m, n_targets, batch, n, window), dtype=dtype)
-        for index, target in enumerate(targets):
-            grad_pred[:, index, :, target, :] = 1.0
-        grad_ffn = grad_pred @ stage["w3"].transpose(0, 2, 1)[:, None, None]
-        grad_hidden = grad_ffn @ stage["w2"].transpose(0, 2, 1)[:, None, None]
-        grad_hidden *= forward.slope[:, None]
+        grad_pred = np.ones(forward.output.shape, dtype=forward.output.dtype)
+        grad_ffn = grad_pred @ stage["w3"].transpose(0, 2, 1)[:, None]
+        grad_hidden = grad_ffn @ stage["w2"].transpose(0, 2, 1)[:, None]
+        grad_hidden *= forward.slope
         grad_combined = grad_hidden \
-            @ stage["w1"].transpose(0, 2, 1)[:, None, None]    # (M,G,B,N,T)
+            @ stage["w1"].transpose(0, 2, 1)[:, None]          # (M,B,N,T)
 
-        grad_heads = np.einsum("mgbit,mh->mghbit", grad_combined,
-                               stage["w_output"])
-        grad_biht = np.ascontiguousarray(grad_heads.transpose(0, 1, 3, 4, 2, 5))
-        grad_a = grad_biht \
-            @ forward.v_bijt.transpose(0, 1, 2, 4, 3)[:, None]  # (M,G,B,i,h,j)
-        attention_grads = grad_a.transpose(0, 1, 4, 2, 3, 5)    # (M,G,h,B,i,j)
-        grad_v = forward.a_bihj.transpose(0, 1, 2, 4, 3)[:, None] \
-            @ grad_biht                                         # (M,G,B,i,j,t)
-        grad_values = grad_v.transpose(0, 1, 2, 4, 3, 5)        # (M,G,B,j,i,t)
+        grad_biht = np.einsum("mbit,mh->mbiht", grad_combined,
+                              stage["w_output"])
+        grad_a = grad_biht @ forward.v_bijt.transpose(0, 1, 2, 4, 3)
+        attention_grads = grad_a.transpose(0, 3, 1, 2, 4)      # (M,h,B,i,j)
+        grad_v = forward.a_bihj.transpose(0, 1, 2, 4, 3) @ grad_biht
+        grad_v = grad_v.astype(forward.values.dtype, copy=False)  # (M,B,i,j,t)
 
-        grad_values = np.ascontiguousarray(grad_values,
-                                           dtype=forward.values.dtype)
-        diagonal = grad_values[:, :, :, diag, diag, :]
-        grad_values[:, :, :, diag, diag, :-1] = diagonal[..., 1:]
-        grad_values[:, :, :, diag, diag, -1] = 0.0
-        grad_values = grad_values * stage["scale_array"]
-        flat = np.ascontiguousarray(grad_values.transpose(0, 1, 3, 4, 2, 5)) \
-            .reshape(m, n_targets, n, n, batch * window)
-        kernel_grads = flat @ forward.windows_flat[:, None]     # (M,G,N,N,K)
+        grad_v[:, :, diag, diag, :-1] = grad_v[:, :, diag, diag, 1:]
+        grad_v[:, :, diag, diag, -1] = 0.0
+        grad_v = grad_v * stage["scale_array"]
+        flat = np.ascontiguousarray(grad_v.transpose(0, 3, 2, 1, 4)) \
+            .reshape(m, n, n, batch * window)
+        kernel_grads = flat @ forward.windows_flat             # (M,j,i,K)
         kernel_dtype = self.models[0].convolution.kernel.data.dtype
         if kernel_grads.dtype != kernel_dtype:
             kernel_grads = np.asarray(kernel_grads, dtype=kernel_dtype)
         if self.models[0].convolution.single_kernel:
-            kernel_grads = kernel_grads.sum(axis=(2, 3), keepdims=True)
+            kernel_grads = kernel_grads.sum(axis=1, keepdims=True)
         return attention_grads, kernel_grads

@@ -139,3 +139,59 @@ class TestGraphConstruction:
     def test_series_names_optional(self, detector, window_batch):
         graph, _scores = detector.detect(window_batch)
         assert graph.names == ["S0", "S1", "S2"]
+
+
+class TestPlantedTruth:
+    """Hand-set weights whose only causal path runs from ``source`` to ``target``.
+
+    The kernel is zero except at ``kernel[source, target, τ]``, so the
+    convolution values of every other (source, target) pair are exactly
+    zero; every mask is zero, so attention is uniform and carries no data;
+    the MLP tail and output layer are identities.  The interpretation must
+    then put all of the target's attention score on ``source`` and read the
+    planted delay off the kernel scores.  The autograd-oracle suites share
+    the detector's row and column selection, so only this test pins its
+    ``[target, source]`` orientation and the self-loop delay shift.
+    """
+
+    N_SERIES, WINDOW = 4, 8
+
+    def planted_model(self, source, target, delay):
+        config = CausalFormerConfig(
+            n_series=self.N_SERIES, window=self.WINDOW, d_model=8, d_qk=8,
+            d_ffn=self.WINDOW, n_heads=2, seed=5)
+        model = CausalityAwareTransformer(config)
+        identity = np.eye(self.WINDOW)
+        for layer_weight in (model.feed_forward.w1, model.feed_forward.w2,
+                             model.output_layer.weight):
+            layer_weight.data[...] = identity
+        for bias in (model.feed_forward.b1, model.feed_forward.b2,
+                     model.output_layer.bias):
+            bias.data[...] = 0.0
+        for head in model.attention.heads:
+            head.mask.data[...] = 0.0
+        # Kernel position τ reads x[t - (T-1-τ)]; the self-convolution is
+        # right-shifted by one more slot.
+        position = self.WINDOW - 1 - delay + (source == target)
+        kernel = model.convolution.kernel.data
+        kernel[...] = 0.0
+        kernel[source, target, position] = 1.5
+        return model, config
+
+    @pytest.mark.parametrize("source,target,delay",
+                             [(0, 2, 1), (2, 0, 3), (3, 1, 0), (1, 1, 2)])
+    def test_only_planted_source_scores(self, source, target, delay):
+        model, config = self.planted_model(source, target, delay)
+        windows = np.random.default_rng(11).normal(
+            size=(16, self.N_SERIES, self.WINDOW))
+        graph, scores = DecompositionCausalityDetector(model, config).detect(
+            windows)
+        row = scores.attention[target]
+        assert int(np.argmax(row)) == source
+        assert row[source] > 0
+        assert not np.delete(row, source).any()
+        profile = scores.kernel[target, source]
+        assert int(np.argmax(profile)) == self.WINDOW - 1 - delay \
+            + (source == target)
+        assert graph.parents(target) == [source]
+        assert graph.delay(source, target) == delay

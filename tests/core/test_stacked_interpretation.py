@@ -17,9 +17,9 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.config import CausalFormerConfig
+from repro.core.config import CausalFormerConfig, fast_preset
 from repro.core.detector import (CausalScores, DecompositionCausalityDetector,
-                                 compute_scores_group)
+                                 compute_scores_group, gradient_modulation)
 from repro.core.relevance import (RegressionRelevancePropagation,
                                   StackedRelevancePropagation)
 from repro.core.transformer import CausalityAwareTransformer
@@ -27,15 +27,31 @@ from repro.nn.inference import StackedInferenceEngine
 from repro.nn.tensor import Tensor, no_grad
 
 
-def fleet(single_kernel=False, n_models=3, seed_base=0):
-    configs = [CausalFormerConfig(n_series=4, window=10, d_model=12, d_qk=12,
-                                  d_ffn=12, n_heads=2, seed=seed_base + seed,
+def fleet(single_kernel=False, n_models=3, seed_base=0, n_series=4,
+          batch=4, preset=None):
+    """``n_models`` models and one window set each; ``preset`` (a config
+    factory such as ``fast_preset``) replaces the default small widths."""
+    def config(seed):
+        if preset is not None:
+            return preset(n_series=n_series, seed=seed,
+                          single_kernel=single_kernel)
+        return CausalFormerConfig(n_series=n_series, window=10, d_model=12,
+                                  d_qk=12, d_ffn=12, n_heads=2, seed=seed,
                                   single_kernel=single_kernel)
-               for seed in range(n_models)]
+
+    configs = [config(seed_base + seed) for seed in range(n_models)]
     models = [CausalityAwareTransformer(config) for config in configs]
     rng = np.random.default_rng(17)
-    window_sets = [rng.normal(size=(4, 4, 10)) for _ in models]
+    window_sets = [rng.normal(size=(batch, n_series, configs[0].window))
+                   for _ in models]
     return models, configs, window_sets
+
+
+#: ``(n_series, windows, models)`` of the two production interpretation
+#: calls under ``fast_preset``: a solo ``discover --dataset lorenz96``
+#: (``max_detector_windows`` = 64) and a group of a synthetic sweep.
+PRODUCTION_SHAPES = {"discover_lorenz96": (10, 64, 1),
+                     "synthetic_sweep": (3, 64, 3)}
 
 
 ABLATIONS = [flags for flags in itertools.product((True, False), repeat=4)
@@ -59,14 +75,19 @@ def autograd_scores(detector, windows) -> CausalScores:
     cache = autograd_cache(model, windows)
     if not detector.use_interpretation:
         return detector._raw_weight_scores(cache)
-    n_series, window = model.config.n_series, model.config.window
+    config = model.config
+    n_series, window, n_heads = config.n_series, config.window, config.n_heads
     propagation = RegressionRelevancePropagation(
         model, use_bias=detector.use_bias,
         epsilon=detector.config.relevance_epsilon)
-    attention = np.zeros((n_series, n_series))
-    kernel = np.zeros((n_series, n_series, window))
+    # Assemble S(A)[i]_{i,:} (row ``i`` of every attention map) and
+    # S(K)[i]_{:,i,:} (column ``i`` of every kernel map) of each target i.
+    attention_grads = np.zeros((1, n_heads, len(windows), n_series, n_series))
+    kernel_grads = np.zeros((1, 1 if config.single_kernel else n_series,
+                             n_series, window))
+    attention_relevance = np.zeros_like(attention_grads)
+    kernel_relevance = np.zeros((1, n_heads, n_series, n_series, window))
     for target in range(n_series):
-        attention_grads = kernel_grad = relevance = None
         if detector.use_gradient:
             model.zero_grad()
             prediction, graph = model(Tensor(windows.copy()),
@@ -74,14 +95,26 @@ def autograd_scores(detector, windows) -> CausalScores:
             one_hot = np.zeros_like(prediction.data)
             one_hot[:, target, :] = 1.0
             (prediction * Tensor(one_hot)).sum().backward()
-            attention_grads = [head.attention.grad
-                               for head in graph.head_caches]
-            kernel_grad = model.convolution.kernel.grad
+            for head, head_cache in enumerate(graph.head_caches):
+                attention_grads[0, head, :, target] = \
+                    head_cache.attention.grad[:, target]
+            grad = model.convolution.kernel.grad
+            kernel_grads[0, :, target] = grad[:, 0] if config.single_kernel \
+                else grad[:, target]
         if detector.use_relevance:
-            relevance = propagation.propagate(cache, target)
-        attention[target], kernel[target] = detector._combine_target(
-            cache, target, attention_grads, kernel_grad, relevance)
-    return CausalScores(attention=attention, kernel=kernel)
+            heads = propagation.propagate(cache, target).heads
+            for head, relevance in enumerate(heads):
+                attention_relevance[0, head, :, target] = \
+                    relevance.attention[:, target]
+                kernel_relevance[0, head, :, target] = \
+                    relevance.kernel[:, target]
+    gradients = (attention_grads, kernel_grads) if detector.use_gradient \
+        else (None, None)
+    relevance = (attention_relevance, kernel_relevance) \
+        if detector.use_relevance else (None, None)
+    attention, kernel = gradient_modulation(*gradients, *relevance)
+    return CausalScores(attention=attention[0],
+                        kernel=kernel[0].transpose(1, 0, 2))
 
 
 class TestGroupScoringBitIdentity:
@@ -126,30 +159,54 @@ class TestAutogradOracle:
             assert np.array_equal(reference.attention, scores.attention)
             assert np.array_equal(reference.kernel, scores.kernel)
 
+    @pytest.mark.parametrize("single_kernel", [False, True])
+    @pytest.mark.parametrize("shape", sorted(PRODUCTION_SHAPES))
+    def test_scores_match_autograd_oracle_at_production_shape(
+            self, shape, single_kernel):
+        """Einsum picks its inner loop, hence its summation order, from
+        sizes and strides, so the contract is pinned at the shapes the
+        benchmarked workloads interpret, not only at the small fleet."""
+        n_series, batch, n_models = PRODUCTION_SHAPES[shape]
+        models, configs, window_sets = fleet(
+            single_kernel=single_kernel, n_models=n_models,
+            n_series=n_series, batch=batch, preset=fast_preset)
+        detectors = [DecompositionCausalityDetector(model, config)
+                     for model, config in zip(models, configs)]
+        group = compute_scores_group(detectors, window_sets)
+        for detector, windows, scores in zip(detectors, window_sets, group):
+            reference = autograd_scores(detector, windows)
+            assert np.array_equal(reference.attention, scores.attention)
+            assert np.array_equal(reference.kernel, scores.kernel)
+
     @pytest.mark.parametrize("use_bias", [True, False])
     @pytest.mark.parametrize("single_kernel", [False, True])
     def test_stacked_relevance_matches_solo_propagation(self, single_kernel,
                                                         use_bias):
+        """Each target's stacked attention row and kernel column equal the
+        same row and column of its solo full maps, which are zero
+        elsewhere."""
         models, _configs, window_sets = fleet(single_kernel=single_kernel)
         forward = StackedInferenceEngine(models).interpretation_forward(
             window_sets)
         targets = list(range(models[0].config.n_series))
-        stacked = StackedRelevancePropagation(
-            models, use_bias=use_bias).propagate_targets(
-                forward, targets, include_values=True)
-        for model, windows, rows in zip(models, window_sets, stacked):
+        attention, kernel = StackedRelevancePropagation(
+            models, use_bias=use_bias).propagate_targets(forward)
+        for model, windows, model_attention, model_kernel in zip(
+                models, window_sets, attention, kernel):
             reference = RegressionRelevancePropagation(
                 model, use_bias=use_bias).propagate_targets(
                     autograd_cache(model, windows), targets)
-            for got, want in zip(rows, reference):
-                assert got.target == want.target
-                assert np.array_equal(got.output_relevance,
-                                      want.output_relevance)
-                for head_got, head_want in zip(got.heads, want.heads):
-                    assert np.array_equal(head_got.attention,
-                                          head_want.attention)
-                    assert np.array_equal(head_got.values, head_want.values)
-                    assert np.array_equal(head_got.kernel, head_want.kernel)
+            for target, want in zip(targets, reference):
+                assert want.target == target
+                for head, head_want in enumerate(want.heads):
+                    assert np.array_equal(model_attention[head, :, target],
+                                          head_want.attention[:, target])
+                    assert np.array_equal(model_kernel[head, :, target],
+                                          head_want.kernel[:, target])
+                    assert not np.delete(head_want.attention, target,
+                                         axis=1).any()
+                    assert not np.delete(head_want.kernel, target,
+                                         axis=1).any()
 
 
 class TestGroupScoringValidation:

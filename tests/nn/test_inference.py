@@ -249,20 +249,31 @@ class TestCachePathParity:
         targets = list(range(models[0].config.n_series))
         engine = StackedInferenceEngine(models)
         attention_grads, kernel_grads = engine.interpretation_gradients(
-            engine.interpretation_forward(window_sets), targets)
+            engine.interpretation_forward(window_sets))
         for row, (model, windows) in enumerate(zip(models, window_sets)):
-            for index, target in enumerate(targets):
+            for target in targets:
                 model.zero_grad()
                 prediction, cache = model(Tensor(windows.copy()),
                                           return_cache=True)
                 one_hot = np.zeros_like(prediction.data)
                 one_hot[:, target, :] = 1.0
                 (prediction * Tensor(one_hot)).sum().backward()
+                # Row ``target`` of the engine's attention maps and column
+                # ``target`` of its kernel map hold this target's gradient;
+                # autograd's full maps are zero outside them.
                 for head, head_cache in enumerate(cache.head_caches):
-                    assert np.array_equal(head_cache.attention.grad,
-                                          attention_grads[row, index, head])
-                assert np.array_equal(model.convolution.kernel.grad,
-                                      kernel_grads[row, index])
+                    grad = head_cache.attention.grad
+                    assert np.array_equal(
+                        grad[:, target], attention_grads[row, head, :, target])
+                    assert not np.delete(grad, target, axis=1).any()
+                grad = model.convolution.kernel.grad
+                if single_kernel:
+                    assert np.array_equal(grad[:, 0],
+                                          kernel_grads[row, :, target])
+                else:
+                    assert np.array_equal(grad[:, target],
+                                          kernel_grads[row, :, target])
+                    assert not np.delete(grad, target, axis=1).any()
 
 
 class TestSteadyStateReuse:
